@@ -6,6 +6,7 @@ type t = {
   mutable errors : int;
   mutable front_hits : int;
   mutable forwards : int;
+  mutable connects : int;
   mutable failovers : int;
   mutable unrouted : int;
   mutable replications : int;
@@ -33,6 +34,7 @@ let create () =
     errors = 0;
     front_hits = 0;
     forwards = 0;
+    connects = 0;
     failovers = 0;
     unrouted = 0;
     replications = 0;
@@ -68,6 +70,7 @@ let inflight t = locked t (fun () -> t.inflight)
 let error t = locked t (fun () -> t.errors <- t.errors + 1)
 let front_hit t = locked t (fun () -> t.front_hits <- t.front_hits + 1)
 let forward t = locked t (fun () -> t.forwards <- t.forwards + 1)
+let connect t = locked t (fun () -> t.connects <- t.connects + 1)
 let failover t = locked t (fun () -> t.failovers <- t.failovers + 1)
 let unrouted t = locked t (fun () -> t.unrouted <- t.unrouted + 1)
 let replication t = locked t (fun () -> t.replications <- t.replications + 1)
@@ -111,6 +114,7 @@ let to_json t =
           ("errors", Sink.Int t.errors);
           ("front_hits", Sink.Int t.front_hits);
           ("forwards", Sink.Int t.forwards);
+          ("connects", Sink.Int t.connects);
           ("failovers", Sink.Int t.failovers);
           ("unrouted", Sink.Int t.unrouted);
           ("replications", Sink.Int t.replications);

@@ -1,8 +1,8 @@
 (** Router-side counters: request traffic (front-cache hits, forwards,
-    failovers, unroutable requests), replication outcomes (acks,
-    failures, missed quorums), the health prober's activity (probes,
-    failures, up/down transitions, warm writes) and an in-flight gauge
-    with high-water mark.  Mutex-protected; rendered by the router's
+    shard connections opened, failovers, unroutable requests),
+    replication outcomes (acks, failures, missed quorums), the health
+    prober's activity (probes, failures, up/down transitions, warm
+    writes) and an in-flight gauge with high-water mark.  Mutex-protected; rendered by the router's
     [stats] verb and dumped to disk at exit for the CI artifact. *)
 
 type t
@@ -20,6 +20,10 @@ val front_hit : t -> unit
 
 val forward : t -> unit
 (** A request was sent to a shard (counted per attempt). *)
+
+val connect : t -> unit
+(** The router opened a new connection to a shard (health probes
+    included); forwards over a kept idle connection do not count. *)
 
 val failover : t -> unit
 (** An attempt failed over to the next owner (overload, timeout or

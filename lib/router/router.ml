@@ -49,6 +49,8 @@ type t = {
   members_file : string option;
   reload : bool Atomic.t;  (* set by SIGHUP, consumed by the poller *)
   mutable repair_cursor : int;  (* poller-thread only *)
+  idle : (string, Client.t list) Hashtbl.t;  (* member -> kept connections *)
+  idle_lock : Mutex.t;
 }
 
 (* --- member addresses ------------------------------------------------- *)
@@ -115,13 +117,65 @@ let front_snapshot t =
   Mutex.unlock t.front_lock;
   (entries, length, capacity)
 
-(* --- talking to shards ------------------------------------------------ *)
+(* --- shard connections ------------------------------------------------ *)
 
-(* One connection per exchange, no retry loop: a failed or overloaded
-   shard must surface immediately so the router can fail over to the
-   next owner instead of camping on a corpse; the health prober (not
-   the request path) is what decides a shard is down. *)
-let exchange t ?(timeout_s = t.config.shard_timeout_s) member request =
+(* Forwards, replication puts, digests, pulls and repair writes reuse a
+   kept connection per member instead of connecting for every exchange.
+   The cap is measured on routed-mix (3 shards, seed 1, 30 s runs on a
+   2-vCPU VM pinned to one CPU).  Against the connect-per-exchange
+   build, one kept connection took the median throughput from 4.3k to
+   7.0k req/s over 10 alternated pairs at unchanged peak RSS (14.5 vs
+   14.6 MB).  Two took throughput 30% higher again, but peak RSS to
+   17.9 MB against 14.5 (3 alternated pairs), past the benchmark's 20%
+   bound.  The extra memory is the shards' major heap: each kept
+   connection pins a shard connection thread, and more throughput
+   stores and churns more first-seen keys per shard.  An exchange that
+   finds no kept connection opens one, and closes it afterwards when
+   the member's slot is already full. *)
+let idle_per_member = 1
+
+let take_idle t member =
+  Mutex.lock t.idle_lock;
+  let client =
+    match Hashtbl.find_opt t.idle member with
+    | Some (c :: rest) ->
+      Hashtbl.replace t.idle member rest;
+      Some c
+    | Some [] | None -> None
+  in
+  Mutex.unlock t.idle_lock;
+  client
+
+(* Keeps a connection that just answered, unless the member's slot is
+   full or the member left the membership.  Checked under [idle_lock],
+   so a reload's [drop_idle] of a departed member cannot miss a
+   connection kept concurrently. *)
+let release t member client =
+  Mutex.lock t.idle_lock;
+  let pooled = Option.value ~default:[] (Hashtbl.find_opt t.idle member) in
+  let kept =
+    List.length pooled < idle_per_member
+    && Membership.state t.membership member <> None
+  in
+  if kept then Hashtbl.replace t.idle member (client :: pooled);
+  Mutex.unlock t.idle_lock;
+  if not kept then Client.close client
+
+let drop_idle t member =
+  Mutex.lock t.idle_lock;
+  let pooled = Option.value ~default:[] (Hashtbl.find_opt t.idle member) in
+  Hashtbl.remove t.idle member;
+  Mutex.unlock t.idle_lock;
+  List.iter Client.close pooled
+
+let close_idle t =
+  Mutex.lock t.idle_lock;
+  let pooled = Hashtbl.fold (fun _ cs acc -> cs @ acc) t.idle [] in
+  Hashtbl.reset t.idle;
+  Mutex.unlock t.idle_lock;
+  List.iter Client.close pooled
+
+let connect t ~timeout_s member =
   match addr_of_member member with
   | Error e -> Error (Client.Io e)
   | Ok addr -> (
@@ -129,13 +183,57 @@ let exchange t ?(timeout_s = t.config.shard_timeout_s) member request =
     | exception Unix.Unix_error (err, _, _) ->
       Error (Client.Io (Unix.error_message err))
     | client ->
-      Fun.protect
-        ~finally:(fun () -> Client.close client)
-        (fun () -> Client.request client request))
+      Metrics.connect t.metrics;
+      Ok client)
+
+(* A failure closes the (now broken) client; a success keeps it. *)
+let send t member client line =
+  match Client.request_line client line with
+  | Ok _ as ok ->
+    release t member client;
+    ok
+  | Error _ as e ->
+    Client.close client;
+    e
+
+(* One request to a shard, no retry loop: a failed or overloaded shard
+   must surface immediately so the router can fail over to the next
+   owner instead of camping on a corpse; the health prober (not the
+   request path) is what decides a shard is down.  The one retry is for
+   a kept connection the shard hung up on while it sat idle (restart,
+   idle timeout, partition): that speaks of the old connection, not of
+   the shard, so the request goes once more on a fresh connection.  A
+   read timeout is never retried — a stuck shard costs one
+   [shard_timeout_s], not two.  Any failure closes the member's kept
+   connection too. *)
+let exchange t member line =
+  let fresh () =
+    match connect t ~timeout_s:t.config.shard_timeout_s member with
+    | Error _ as e -> e
+    | Ok client -> send t member client line
+  in
+  let result =
+    match take_idle t member with
+    | None -> fresh ()
+    | Some client -> (
+      match send t member client line with
+      | Error _ when Client.hung_up client -> fresh ()
+      | r -> r)
+  in
+  if Result.is_error result then drop_idle t member;
+  result
+
+let request t member j = exchange t member (Sink.to_string j)
+
+(* A member that goes Down loses its kept connection. *)
+let note_failure t ~tick member =
+  let verdict = Membership.note_failure t.membership ~now:tick member in
+  if verdict = `Went_down then drop_idle t member;
+  verdict
 
 let put_to t ~tick ?(kind = "analysis") member ~fingerprint body =
   Metrics.forward t.metrics;
-  match exchange t member (Protocol.put_request ~kind ~fingerprint body) with
+  match request t member (Protocol.put_request ~kind ~fingerprint body) with
   | Ok resp when Protocol.is_ok resp ->
     Metrics.replication t.metrics;
     true
@@ -144,7 +242,7 @@ let put_to t ~tick ?(kind = "analysis") member ~fingerprint body =
     false
   | Error _ ->
     Metrics.replication_failure t.metrics;
-    ignore (Membership.note_failure t.membership ~now:tick member);
+    ignore (note_failure t ~tick member);
     false
 
 (* Park a write that could not reach an owner; drained on the owner's
@@ -211,13 +309,13 @@ let no_shard_error fingerprint =
   Protocol.error
     (Printf.sprintf "no shard available for fingerprint %s" fingerprint)
 
-(* Forward an analysis request (as its original line, so deadline and
-   every other field ride along verbatim).  Failover policy: transport
-   failures and [overloaded] move to the next owner; [error] and
-   [deadline_exceeded] are deterministic verdicts and are returned
-   as-is — every shard would say the same, and the deadline belongs to
-   the client, not to the routing. *)
-let route_analysis t ~tick ~request ~fingerprint =
+(* Forward an analysis request as its original line, never re-encoded,
+   so deadline and every other field ride along verbatim.  Failover
+   policy: transport failures and [overloaded] move to the next owner;
+   [error] and [deadline_exceeded] are deterministic verdicts and are
+   returned as-is — every shard would say the same, and the deadline
+   belongs to the client, not to the routing. *)
+let route_analysis t ~tick ~line ~fingerprint =
   match front_find t fingerprint with
   | Some analysis ->
     Metrics.front_hit t.metrics;
@@ -232,9 +330,9 @@ let route_analysis t ~tick ~request ~fingerprint =
         | None -> no_shard_error fingerprint)
       | member :: rest -> (
         Metrics.forward t.metrics;
-        match exchange t member request with
+        match exchange t member line with
         | Error (Client.Io _ | Client.Malformed _ | Client.Closed) ->
-          ignore (Membership.note_failure t.membership ~now:tick member);
+          ignore (note_failure t ~tick member);
           if rest <> [] then Metrics.failover t.metrics;
           attempt last (member :: failed) rest
         | Ok resp -> (
@@ -343,10 +441,6 @@ let handle t ~tick line =
         Metrics.error t.metrics;
         (Protocol.error e, `Continue)
       | Ok { Protocol.query; _ } -> (
-        let request =
-          (* parse_request succeeded, so the line is valid JSON. *)
-          match Sink.of_string line with Ok j -> j | Error _ -> assert false
-        in
         (* Routing keys are tier- and concept-qualified, so exhaustive,
            certified and correlated answers for the same game live on
            (possibly) different owners and never alias; certified and
@@ -379,7 +473,7 @@ let handle t ~tick line =
           let fingerprint =
             routing_key (Fingerprint.game graph ~prior) ~mode ~concept
           in
-          (route_analysis t ~tick ~request ~fingerprint, `Continue)
+          (route_analysis t ~tick ~line ~fingerprint, `Continue)
         | Protocol.Construction { name; k; mode; concept } -> (
           match Registry.build name k with
           | Error e ->
@@ -389,7 +483,7 @@ let handle t ~tick line =
             let fingerprint =
               routing_key (Fingerprint.of_game game) ~mode ~concept
             in
-            (route_analysis t ~tick ~request ~fingerprint, `Continue))
+            (route_analysis t ~tick ~line ~fingerprint, `Continue))
         | Protocol.Put { fingerprint; value } ->
           let kind, body =
             match value with
@@ -441,29 +535,36 @@ let drain_hints t ~tick member =
              ~kind:h.Hints.kind h.Hints.body))
     (Hints.take t.hints member)
 
+(* Probes always connect afresh, with [probe_timeout_s]: a probe tests
+   that the member still accepts connections, and a stuck shard must be
+   caught within the probe timeout, not [shard_timeout_s]. *)
 let probe t ~tick member =
   Metrics.probe t.metrics;
   let healthy =
-    match
-      exchange t ~timeout_s:t.config.probe_timeout_s member
-        Protocol.health_request
-    with
-    | Ok resp -> Protocol.is_ok resp
-    | Error _ -> false
+    match connect t ~timeout_s:t.config.probe_timeout_s member with
+    | Error _ -> None
+    | Ok client ->
+      Fun.protect
+        ~finally:(fun () -> Client.close client)
+        (fun () ->
+          match Client.request client Protocol.health_request with
+          | Ok resp -> Some (Protocol.is_ok resp)
+          | Error _ -> None)
   in
-  if healthy then (
+  match healthy with
+  | Some true -> (
     match Membership.note_success t.membership ~now:tick member with
     | `Recovered ->
       Metrics.marked_up t.metrics;
       drain_hints t ~tick member;
       warm t ~tick member
     | `Ok -> ())
-  else begin
+  | Some false | None -> (
+    if healthy = None then drop_idle t member;
     Metrics.probe_failure t.metrics;
-    match Membership.note_failure t.membership ~now:tick member with
+    match note_failure t ~tick member with
     | `Went_down -> Metrics.marked_down t.metrics
-    | `Ok -> ()
-  end
+    | `Ok -> ())
 
 (* --- anti-entropy ------------------------------------------------------ *)
 
@@ -471,7 +572,7 @@ let probe t ~tick member =
    bucket.  [Error] covers transport failure and pre-repair shards that
    reject the verb — both mean "skip this round", never "diverged". *)
 let member_rollup t member =
-  match exchange t member (Protocol.digest_request ()) with
+  match request t member (Protocol.digest_request ()) with
   | Error _ -> Error ()
   | Ok resp ->
     if Protocol.is_ok resp then
@@ -479,7 +580,7 @@ let member_rollup t member =
     else Error ()
 
 let member_bucket t member b =
-  match exchange t member (Protocol.digest_request ~bucket:b ()) with
+  match request t member (Protocol.digest_request ~bucket:b ()) with
   | Error _ -> Error ()
   | Ok resp ->
     if Protocol.is_ok resp then
@@ -521,7 +622,7 @@ let repair_bucket t ~tick a b bucket =
               d.Fsck.holders
         in
         if targets <> [] then begin
-          match exchange t d.Fsck.authority (Protocol.pull_request [ d.Fsck.key ]) with
+          match request t d.Fsck.authority (Protocol.pull_request [ d.Fsck.key ]) with
           | Error _ -> ()
           | Ok resp -> (
             match Protocol.entries_of resp with
@@ -625,7 +726,13 @@ let reload_members t ~tick =
         Mutex.lock t.ring_lock;
         t.ring <- ring;
         Mutex.unlock t.ring_lock;
+        let departed =
+          List.filter
+            (fun m -> not (List.mem m members))
+            (Membership.members t.membership)
+        in
         let added = Membership.set_members t.membership members in
+        List.iter (drop_idle t) departed;
         Printf.eprintf "router: members reloaded: %s%s\n%!"
           (String.concat "," members)
           (if added = [] then ""
@@ -707,6 +814,8 @@ let run ?on_ready ?metrics_out ?members_file ?hints_path
       members_file;
       reload = Atomic.make false;
       repair_cursor = 0;
+      idle = Hashtbl.create 8;
+      idle_lock = Mutex.create ();
     }
   in
   let previous_hup =
@@ -719,6 +828,7 @@ let run ?on_ready ?metrics_out ?members_file ?hints_path
   let poller_th = Thread.create poller t in
   Lineserver.run ?on_ready ~handler:(handle_conn t) ls;
   Thread.join poller_th;
+  close_idle t;
   (match previous_hup with
   | Some h -> ( try Sys.set_signal Sys.sighup h with Invalid_argument _ | Sys_error _ -> ())
   | None -> ());

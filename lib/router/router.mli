@@ -15,6 +15,11 @@
     exist; a [put] is fanned out to all routable owners and must reach
     the quorum itself.
 
+    Connections: shard exchanges reuse at most one kept idle connection
+    per member; one the shard hung up on while idle is retried once on
+    a fresh connection, while a read timeout fails over at once.
+    Health probes always connect afresh.
+
     Health: a poller thread probes members with the [health] verb on a
     deterministic schedule ({!Membership}: up/suspect/down with
     exponential probe backoff) and, on every Down→Up recovery or member

@@ -180,6 +180,19 @@ let connection_action t =
     else `Proceed
   end
 
+(* The per-line half of the partition fault: a connection accepted
+   before the window opened (a client's reused connection) is hung up
+   on its next request, unanswered, exactly as a refused accept is.
+   Only reads the window; windows still open on accept alone. *)
+let partition_open t =
+  t.cfg.partition_p > 0.
+  && begin
+       Mutex.lock t.window_lock;
+       let inside = Unix.gettimeofday () < t.partition_until in
+       Mutex.unlock t.window_lock;
+       inside
+     end
+
 (* Store corruption: overwrite a byte mid-line so the entry fails its
    checksum (or JSON parse) on replay — exactly the damage a torn or
    bit-flipped write leaves behind. *)

@@ -23,7 +23,9 @@ type config = {
   partition_p : float;
       (** Probability an accepted connection opens a partition window:
           for the next [partition_ms], every connection is refused
-          (hang-up before reading) — the whole-node partition fault. *)
+          (hang-up before reading) and every already-open connection is
+          hung up on its next request line, unanswered — the
+          whole-node partition fault. *)
   partition_ms : int;  (** Partition window length (default 1000). *)
   slow_p : float;
       (** Probability an accepted connection is stalled [slow_ms]
@@ -86,3 +88,9 @@ val connection_action : t -> [ `Proceed | `Refuse | `Stall of int ]
     window state is shared across threads; decisions still come from
     the deterministic stream (window *expiry* is wall-clock, so
     partition timing is only as reproducible as the clock). *)
+
+val partition_open : t -> bool
+(** True while a partition window opened by {!connection_action} lasts.
+    The server checks it on every request line, so connections accepted
+    before the window see the partition too: it hangs up on them
+    without answering.  Draws nothing from the stream. *)

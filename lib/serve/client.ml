@@ -33,6 +33,7 @@ type t = {
   timeout_s : float option;
   ident : int;  (* default jitter seed: unique per connection *)
   mutable waits : int;  (* jitter stream position across retries *)
+  mutable hung_up : bool;  (* the last exchange died on EOF/EPIPE/ECONNRESET *)
 }
 
 (* The default jitter seed mixes the pid with a per-process connection
@@ -67,14 +68,14 @@ let make ?timeout_s addr =
   let ic, oc = open_addr addr in
   apply_timeout ic timeout_s;
   { ic; oc; state = `Live; addr; timeout_s; ident = derive_ident addr;
-    waits = 0 }
+    waits = 0; hung_up = false }
 
 let connect_unix ?timeout_s path = make ?timeout_s (Unix_path path)
 let connect_tcp ?timeout_s port = make ?timeout_s (Tcp_port port)
 
 let of_channels ic oc =
   { ic; oc; state = `Live; addr = Unattached; timeout_s = None;
-    ident = derive_ident Unattached; waits = 0 }
+    ident = derive_ident Unattached; waits = 0; hung_up = false }
 
 let teardown t =
   (try Unix.shutdown_connection t.ic
@@ -103,33 +104,54 @@ let connection_ended t =
     | _ -> false)
   | exception Unix.Unix_error _ -> true
 
-let request_once t j =
+(* A peer that closed or reset the connection before replying: EOF on
+   the read, or EPIPE / ECONNRESET on the write or the read.  Channel
+   I/O reports errno as [Sys_error (strerror errno)], the same text
+   [Unix.error_message] gives. *)
+let reset_messages =
+  [ Unix.error_message Unix.EPIPE; Unix.error_message Unix.ECONNRESET ]
+
+(* The one line-level exchange behind every request form: one line out,
+   one line back, every transport failure marking the client broken. *)
+let exchange_line t line =
+  t.hung_up <- false;
   match t.state with
   | `Closed | `Broken -> Error Closed
   | `Live -> (
     match
-      output_string t.oc (Sink.to_string j);
+      output_string t.oc line;
       output_char t.oc '\n';
       flush t.oc;
       input_line t.ic
     with
     | exception End_of_file ->
       mark_broken t;
+      t.hung_up <- true;
       Error (Io "connection closed by server")
     | exception Sys_error e ->
       mark_broken t;
+      t.hung_up <- List.mem e reset_messages;
       Error (Io e)
     | exception Sys_blocked_io ->
       mark_broken t;
       Error (Io "read timed out")
-    | line -> (
-      match Sink.of_string line with
-      | Ok j -> Ok j
-      | Error e ->
-        let torn = connection_ended t in
-        mark_broken t;
-        if torn then Error (Io (Printf.sprintf "torn response (%s)" e))
-        else Error (Malformed e)))
+    | response -> Ok response)
+
+let request_line t line =
+  match exchange_line t line with
+  | Error _ as e -> e
+  | Ok response -> (
+    match Sink.of_string response with
+    | Ok j -> Ok j
+    | Error e ->
+      let torn = connection_ended t in
+      mark_broken t;
+      if torn then Error (Io (Printf.sprintf "torn response (%s)" e))
+      else Error (Malformed e))
+
+let hung_up t = t.hung_up
+
+let request_once t j = request_line t (Sink.to_string j)
 
 let reconnect t =
   match t.addr with
@@ -197,26 +219,7 @@ let request ?retry t j =
     in
     go 0
 
-let raw_request t line =
-  match t.state with
-  | `Closed | `Broken -> Error Closed
-  | `Live -> (
-    match
-      output_string t.oc line;
-      output_char t.oc '\n';
-      flush t.oc;
-      input_line t.ic
-    with
-    | exception End_of_file ->
-      mark_broken t;
-      Error (Io "connection closed by server")
-    | exception Sys_error e ->
-      mark_broken t;
-      Error (Io e)
-    | exception Sys_blocked_io ->
-      mark_broken t;
-      Error (Io "read timed out")
-    | response -> Ok response)
+let raw_request = exchange_line
 
 let close t =
   match t.state with

@@ -96,6 +96,21 @@ val request :
     outcome is returned, so a final [overloaded] response surfaces as
     such). *)
 
+val request_line : t -> string -> (Bi_engine.Sink.json, failure) result
+(** {!request} without the encoding or the retry: sends [line] verbatim
+    (it must hold no newline) and parses the response, with the same
+    failure classification — the router forwards client lines this way
+    instead of re-encoding them. *)
+
+val hung_up : t -> bool
+(** True when the last request on this client failed because the peer
+    closed or reset the connection without replying: EOF before the
+    response, or EPIPE / ECONNRESET.  A read timeout, a torn or
+    malformed response, and a success are all [false].  A caller that
+    reused an idle connection may retry such a failure once on a fresh
+    connection — the server hung up on an old connection (restart,
+    idle timeout), which says nothing about the next one. *)
+
 val raw_request : t -> string -> (string, failure) result
 (** Sends a raw line (no JSON validation — the fuzz and soak harnesses
     use this to probe with garbage) and returns the raw response line.

@@ -370,12 +370,7 @@ let handle_line t ~chaos_delay_ms line =
 (* One protocol exchange, including the chaos transport decision: a
    dropped or truncated response leaves the client with wreckage, so
    the connection is closed rather than left desynchronized. *)
-let handle_conn_line t oc line =
-  let action =
-    match t.chaos with
-    | None -> Chaos.deliver
-    | Some c -> Chaos.response_action c
-  in
+let respond t oc ~action line =
   if Chaos.faulty action then Metrics.fault_injected t.metrics;
   let response, disposition =
     handle_line t ~chaos_delay_ms:action.Chaos.delay_ms line
@@ -403,6 +398,16 @@ let handle_conn_line t oc line =
   match disposition with
   | `Stop -> `Stop
   | `Continue -> if alive then `Continue else `Close
+
+(* An open partition window hangs up unanswered, so a long-lived
+   connection sees the partition just as a new one does on accept. *)
+let handle_conn_line t oc line =
+  match t.chaos with
+  | None -> respond t oc ~action:Chaos.deliver line
+  | Some c when Chaos.partition_open c ->
+    Metrics.fault_injected t.metrics;
+    `Close
+  | Some c -> respond t oc ~action:(Chaos.response_action c) line
 
 (* --- lifecycle ------------------------------------------------------- *)
 

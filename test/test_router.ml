@@ -1,8 +1,9 @@
 (* Tests for the cluster front-end: consistent-hash ring laws,
    membership state machine, and an end-to-end router over in-process
    shards — forward, front cache, quorum replication, failover with
-   byte-identical warm answers, and structured errors when every shard
-   is gone. *)
+   byte-identical warm answers, structured errors when every shard is
+   gone, and the kept shard connections (reuse, a restart behind one, a
+   stall on one). *)
 
 module Ring = Bi_router.Ring
 module Membership = Bi_router.Membership
@@ -15,6 +16,9 @@ module Server = Bi_serve.Server
 module Client = Bi_serve.Client
 module Service = Bi_cache.Service
 module Sink = Bi_engine.Sink
+module Fingerprint = Bi_cache.Fingerprint
+module Registry = Bi_constructions.Registry
+module Lineserver = Bi_serve.Lineserver
 
 (* --- ring laws --------------------------------------------------------- *)
 
@@ -856,6 +860,258 @@ let test_sighup_reload_race () =
       ignore (request_ok c Protocol.shutdown_request);
       Client.close c)
 
+(* --- kept shard connections ------------------------------------------- *)
+
+let with_router ~dir ~config ~members f =
+  let router_sock = Filename.concat dir "router.sock" in
+  let th_router =
+    with_ready_thread (fun ~on_ready ->
+        Router.run ~on_ready ~config ~members
+          (Lineserver.Unix_socket router_sock))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_endpoint router_sock;
+      Thread.join th_router)
+    (fun () ->
+      let c = Client.connect_unix router_sock in
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c))
+
+let wait_all_up c members =
+  wait_until ~what:"every member probed up" (fun () ->
+      let stats = request_ok c Protocol.stats_request in
+      List.for_all (fun m -> member_state stats m = Some "up") members)
+
+(* Constructions whose routing key has [member] as its primary owner. *)
+let keys_led_by members member =
+  let ring = Ring.create members in
+  List.concat_map
+    (fun name ->
+      List.filter_map
+        (fun k ->
+          match Registry.build name k with
+          | Error _ -> None
+          | Ok game ->
+            let fp = Fingerprint.of_game game in
+            if Ring.owner ring fp = Some member then
+              Some (Protocol.construction_request ~name ~k (), fp)
+            else None)
+        [ 2; 3; 4; 5; 6 ])
+    [ "gworst-bliss"; "gworst-curse" ]
+
+let fingerprint_of resp =
+  match Sink.member "fingerprint" resp with
+  | Some (Sink.Str s) -> s
+  | _ -> Alcotest.fail "fingerprint missing"
+
+(* Routed requests over one client connection reuse the router's kept
+   connection to each member: connections opened stay bounded by the
+   members plus the probes made meanwhile (each probe connects afresh),
+   however many requests are forwarded. *)
+let test_connection_reuse () =
+  let dir = Filename.temp_file "bi_reuse" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let sock_a, cache_a, th_a = start_shard ~dir ~name:"shard-a" in
+  let sock_b, cache_b, th_b = start_shard ~dir ~name:"shard-b" in
+  let members = [ sock_a; sock_b ] in
+  let config =
+    {
+      Router.default_config with
+      front_capacity = 1;
+      probe_interval_s = 0.05;
+      repair_interval_ticks = 0;
+      shard_timeout_s = 5.;
+    }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_endpoint sock_a;
+      stop_endpoint sock_b;
+      Thread.join th_a;
+      Thread.join th_b;
+      Service.close cache_a;
+      Service.close cache_b)
+    (fun () ->
+      with_router ~dir ~config ~members (fun c ->
+          wait_all_up c members;
+          let req2 = Protocol.construction_request ~name:"gworst-bliss" ~k:2 () in
+          let req3 = Protocol.construction_request ~name:"gworst-bliss" ~k:3 () in
+          ignore (request_ok c req2);
+          ignore (request_ok c req3);
+          let before = request_ok c Protocol.stats_request in
+          (* The 1-slot front cache and alternating keys forward every
+             request. *)
+          for i = 1 to 200 do
+            ignore (request_ok c (if i mod 2 = 1 then req2 else req3))
+          done;
+          let after = request_ok c Protocol.stats_request in
+          let delta key = counter after key - counter before key in
+          Alcotest.(check bool) "every request forwarded" true
+            (delta "forwards" >= 200);
+          let bound = List.length members + delta "probes" in
+          if delta "connects" > bound then
+            Alcotest.failf "%d connections opened for 200 forwards (bound %d)"
+              (delta "connects") bound))
+
+(* A shard restarted on the same socket behind a kept connection: the
+   dead connection is retried once on a fresh one, so the request is
+   answered by its owner with no failover.  Probes are slow here, so no
+   probe notices the restart first. *)
+let test_restart_behind_kept_connection () =
+  let dir = Filename.temp_file "bi_restart" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let sock_a, cache_a, th_a = start_shard ~dir ~name:"shard-a" in
+  let sock_b, cache_b, th_b = start_shard ~dir ~name:"shard-b" in
+  let members = [ sock_a; sock_b ] in
+  let config =
+    {
+      Router.default_config with
+      front_capacity = 1;
+      probe_interval_s = 3.;
+      repair_interval_ticks = 0;
+      shard_timeout_s = 5.;
+    }
+  in
+  let restarted = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_endpoint sock_a;
+      stop_endpoint sock_b;
+      Thread.join th_a;
+      Thread.join th_b;
+      Service.close cache_a;
+      Service.close cache_b;
+      Option.iter
+        (fun (cache, th) ->
+          Thread.join th;
+          Service.close cache)
+        !restarted)
+    (fun () ->
+      with_router ~dir ~config ~members (fun c ->
+          wait_all_up c members;
+          let req2 = Protocol.construction_request ~name:"gworst-bliss" ~k:2 () in
+          let r2 = request_ok c req2 in
+          let fp2 = fingerprint_of r2 in
+          let primary = Option.get (Ring.owner (Ring.create members) fp2) in
+          (* Evict fp2 from the front cache, then restart its primary
+             on the same socket, empty. *)
+          ignore
+            (request_ok c
+               (Protocol.construction_request ~name:"gworst-bliss" ~k:3 ()));
+          stop_endpoint primary;
+          Thread.join (if primary = sock_a then th_a else th_b);
+          let name = Filename.chop_suffix (Filename.basename primary) ".sock" in
+          let _, cache', th' = start_shard ~dir ~name in
+          restarted := Some (cache', th');
+          let before = request_ok c Protocol.stats_request in
+          let r = request_ok c req2 in
+          let after = request_ok c Protocol.stats_request in
+          let delta key = counter after key - counter before key in
+          Alcotest.(check string) "answer byte-identical" (analysis_bytes r2)
+            (analysis_bytes r);
+          Alcotest.(check (option bool)) "recomputed by the restarted owner"
+            (Some false) (get_bool "cached" r);
+          Alcotest.(check int) "no failover" 0 (delta "failovers");
+          Alcotest.(check bool) "a fresh connection replaced the dead one" true
+            (delta "connects" >= 1)))
+
+(* A stand-in shard that relays each line to a real shard, until
+   [stalled] is set: then it holds every analysis request past the
+   router's shard timeout and hangs up unanswered (health probes are
+   still relayed).  [held] counts the requests it stalled. *)
+let start_relay ~dir ~name ~backend =
+  let socket = Filename.concat dir (name ^ ".sock") in
+  let stalled = Atomic.make false and held = Atomic.make 0 in
+  let ls = Lineserver.create (Lineserver.Unix_socket socket) in
+  let relay oc line =
+    let d = Client.connect_unix backend in
+    let resp = Client.raw_request d line in
+    Client.close d;
+    match resp with
+    | Ok resp -> (
+      try
+        output_string oc resp;
+        output_char oc '\n';
+        flush oc;
+        `Continue
+      with Sys_error _ -> `Close)
+    | Error _ -> `Close
+  in
+  let handler oc line =
+    match Protocol.parse_request line with
+    | Ok { Protocol.query = Protocol.Health; _ } -> relay oc line
+    | _ when Atomic.get stalled ->
+      Atomic.incr held;
+      Thread.delay 1.;
+      `Close
+    | _ -> relay oc line
+  in
+  let th = Thread.create (fun () -> Lineserver.run ~handler ls) () in
+  (socket, stalled, held, ls, th)
+
+(* A shard that stalls past [shard_timeout_s] on a kept connection is
+   failed over after one timeout: the read timeout is not retried on a
+   fresh connection, so the stalled shard sees the request once. *)
+let test_stall_on_kept_connection () =
+  let dir = Filename.temp_file "bi_stall" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let sock_a, cache_a, th_a = start_shard ~dir ~name:"shard-a" in
+  let backend, cache_b, th_b = start_shard ~dir ~name:"backend" in
+  let sock_r, stalled, held, ls, th_r =
+    start_relay ~dir ~name:"relay" ~backend
+  in
+  let members = [ sock_a; sock_r ] in
+  (* Quorum 1: a fresh compute sends no replication put to the stalled
+     member, so the only request it sees is the forwarded one. *)
+  let config =
+    {
+      Router.default_config with
+      quorum = 1;
+      front_capacity = 1;
+      probe_interval_s = 3.;
+      repair_interval_ticks = 0;
+      shard_timeout_s = 0.3;
+    }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Lineserver.initiate_shutdown ls;
+      Thread.join th_r;
+      stop_endpoint sock_a;
+      stop_endpoint backend;
+      Thread.join th_a;
+      Thread.join th_b;
+      Service.close cache_a;
+      Service.close cache_b)
+    (fun () ->
+      with_router ~dir ~config ~members (fun c ->
+          wait_all_up c members;
+          let key_a, _ = List.hd (keys_led_by members sock_a) in
+          let key_r, key_r2 =
+            match keys_led_by members sock_r with
+            | (k1, _) :: (k2, fp2) :: _ -> (k1, (k2, fp2))
+            | _ -> Alcotest.fail "too few keys led by the relay"
+          in
+          (* Leave a kept connection to each member. *)
+          ignore (request_ok c key_a);
+          ignore (request_ok c key_r);
+          let before = request_ok c Protocol.stats_request in
+          Atomic.set stalled true;
+          let r = request_ok c (fst key_r2) in
+          Alcotest.(check string) "answered for the stalled member's key"
+            (snd key_r2) (fingerprint_of r);
+          let after = request_ok c Protocol.stats_request in
+          Atomic.set stalled false;
+          let delta key = counter after key - counter before key in
+          Alcotest.(check int) "one failover" 1 (delta "failovers");
+          Alcotest.(check int) "no connection opened but probes'"
+            (delta "probes") (delta "connects");
+          Alcotest.(check int) "the stalled member saw the request once" 1
+            (Atomic.get held)))
+
 let () =
   Alcotest.run "bi_router"
     [
@@ -900,5 +1156,11 @@ let () =
             `Quick test_recovery_drains_hints;
           Alcotest.test_case "SIGHUP reload races probes and repair" `Quick
             test_sighup_reload_race;
+          Alcotest.test_case "forwards reuse one connection per member"
+            `Quick test_connection_reuse;
+          Alcotest.test_case "restart behind a kept connection" `Quick
+            test_restart_behind_kept_connection;
+          Alcotest.test_case "stall on a kept connection fails over once"
+            `Quick test_stall_on_kept_connection;
         ] );
     ]

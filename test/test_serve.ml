@@ -1116,6 +1116,54 @@ let test_lineserver_refuse_and_stall () =
   Lineserver.initiate_shutdown ls;
   Thread.join th
 
+(* A partition window reaches connections accepted before it opened:
+   the next request on one is hung up on, unanswered. *)
+let test_partition_reaches_open_connection () =
+  (* At p = 1/2, a seed whose first draw (the first accept) opens no
+     window but whose next draws (that connection's response draws,
+     then the second accept) all do. *)
+  let opens s c = Chaos.unit_float ~seed:s ~counter:c < 0.5 in
+  let rec find s =
+    if (not (opens s 0)) && List.for_all (opens s) [ 1; 2; 3; 4; 5; 6 ] then s
+    else find (s + 1)
+  in
+  let partition_ms = 300 in
+  let chaos =
+    Chaos.create
+      { Chaos.disabled with seed = find 0; partition_p = 0.5; partition_ms }
+  in
+  with_server ~chaos (fun ~socket ~metrics_out:_ ->
+      (* Shut down once a window has closed (an accept may open another),
+         even when a check fails: the server's own teardown cannot get
+         through a window. *)
+      let rec shutdown tries =
+        Thread.delay (float_of_int partition_ms /. 1000.);
+        let e = Client.connect_unix socket in
+        let r = Client.request e Protocol.shutdown_request in
+        Client.close e;
+        match r with
+        | Error _ when tries > 1 -> shutdown (tries - 1)
+        | _ -> ()
+      in
+      Fun.protect ~finally:(fun () -> shutdown 50) (fun () ->
+          let c = Client.connect_unix socket in
+          ignore (request_ok c Protocol.health_request);
+          (* The second accept opens a window and is refused... *)
+          let d = Client.connect_unix socket in
+          (match Client.request d Protocol.health_request with
+          | Error (Client.Io _) -> ()
+          | Ok _ -> Alcotest.fail "refused connection answered"
+          | Error f -> Alcotest.fail (Client.failure_to_string f));
+          Client.close d;
+          (* ...and the first connection, open all along, is hung up on. *)
+          (match Client.request c Protocol.health_request with
+          | Error (Client.Io _) ->
+            Alcotest.(check bool) "hung up, not timed out" true
+              (Client.hung_up c)
+          | Ok _ -> Alcotest.fail "answered inside a partition window"
+          | Error f -> Alcotest.fail (Client.failure_to_string f));
+          Client.close c))
+
 let () =
   Alcotest.run "bi_serve"
     [
@@ -1162,5 +1210,7 @@ let () =
             test_digest_pull_end_to_end;
           Alcotest.test_case "refused and stalled connections" `Quick
             test_lineserver_refuse_and_stall;
+          Alcotest.test_case "partition reaches an open connection" `Quick
+            test_partition_reaches_open_connection;
         ] );
     ]
