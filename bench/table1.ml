@@ -32,13 +32,19 @@ let fl r = Rat.to_float r
 
 (* --- cached exact analyses --- *)
 
+(* A cached analysis under [key]; a value of another shape (never one
+   we wrote, since analysis and payload keys differ) is recomputed. *)
+let memo_analysis c key compute =
+  match Service.memo c key (fun () -> Service.Analysis (compute ())) with
+  | Service.Analysis a, _ -> a
+  | Service.Payload _, _ -> compute ()
+
 let analysis ~pool ~cache game =
   match cache with
   | None -> Bncs.analyze ~pool game
   | Some c ->
-    fst
-      (Service.analysis c (Cache.Fingerprint.of_game game) (fun () ->
-           Bncs.analyze ~pool game))
+    memo_analysis c (Cache.Fingerprint.of_game game) (fun () ->
+        Bncs.analyze ~pool game)
 
 let report ~pool ~cache game = (analysis ~pool ~cache game).Bncs.report
 
@@ -49,10 +55,9 @@ let report_of_description ~pool ~cache (graph, prior) =
   match cache with
   | None -> (Bncs.analyze ~pool (Bncs.make graph ~prior)).Bncs.report
   | Some c ->
-    (fst
-       (Service.analysis c
-          (Cache.Fingerprint.game graph ~prior)
-          (fun () -> Bncs.analyze ~pool (Bncs.make graph ~prior))))
+    (memo_analysis c
+       (Cache.Fingerprint.game graph ~prior)
+       (fun () -> Bncs.analyze ~pool (Bncs.make graph ~prior)))
       .Bncs.report
 
 (* An auxiliary solver result cached as an opaque JSON payload under
@@ -63,8 +68,12 @@ let cached_payload ~cache ~key ~encode ~decode compute =
   match cache with
   | None -> compute ()
   | Some c -> (
-    let payload, _hit = Service.payload c key (fun () -> encode (compute ())) in
-    match decode payload with Some v -> v | None -> compute ())
+    match
+      Service.memo c key (fun () -> Service.Payload (encode (compute ())))
+    with
+    | Service.Payload payload, _ -> (
+      match decode payload with Some v -> v | None -> compute ())
+    | Service.Analysis _, _ -> compute ())
 
 (* --- Universal rows over a corpus --- *)
 

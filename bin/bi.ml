@@ -34,38 +34,20 @@ let ratio_json = function
   | None -> Sink.Null
   | Some r -> Sink.Str (Rat.to_string r)
 
-let construction_json ~name ~k ~fingerprint ~cached analysis =
-  let report = analysis.Bncs.report in
+(* The ratios and the Observation 2.2 verdict that follow an exhaustive
+   analysis in [bi construction --json]. *)
+let report_json report =
   let ratios = Measures.ratios_of_report report in
-  Sink.Obj
-    [
-      ("record", Str "construction");
-      ("construction", Str name);
-      ("k", Int k);
-      ("fingerprint", Str fingerprint);
-      ("cached", Bool cached);
-      ("analysis", Cache.Codec.analysis_to_json analysis);
-      ( "ratios",
-        Obj
-          [
-            ("opt", ratio_json ratios.Measures.r_opt);
-            ("best_eq", ratio_json ratios.Measures.r_best_eq);
-            ("worst_eq", ratio_json ratios.Measures.r_worst_eq);
-          ] );
-      ("observation_2_2", Bool (Measures.observation_2_2_holds report));
-    ]
-
-let certified_construction_json ~name ~k ~fingerprint ~cached payload =
-  Sink.Obj
-    [
-      ("record", Str "construction");
-      ("construction", Str name);
-      ("k", Int k);
-      ("fingerprint", Str fingerprint);
-      ("cached", Bool cached);
-      ("mode", Str "certified");
-      ("certified", payload);
-    ]
+  [
+    ( "ratios",
+      Sink.Obj
+        [
+          ("opt", ratio_json ratios.Measures.r_opt);
+          ("best_eq", ratio_json ratios.Measures.r_best_eq);
+          ("worst_eq", ratio_json ratios.Measures.r_worst_eq);
+        ] );
+    ("observation_2_2", Sink.Bool (Measures.observation_2_2_holds report));
+  ]
 
 (* Rendered from the JSON payload rather than the certificate record, so
    cached answers (where only the payload survives) print identically. *)
@@ -103,18 +85,6 @@ let print_certified payload =
     (if bool_of "bnb_certified" then "closed (optimum certified)"
      else "open (bracket only)")
     (int_of "bnb_nodes")
-
-let correlated_construction_json ~name ~k ~fingerprint ~cached ~concept payload =
-  Sink.Obj
-    [
-      ("record", Str "construction");
-      ("construction", Str name);
-      ("k", Int k);
-      ("fingerprint", Str fingerprint);
-      ("cached", Bool cached);
-      ("concept", Str (Correlated.Concept.to_string concept));
-      ("correlated", payload);
-    ]
 
 (* Rendered from the JSON payload rather than the report record, so
    cached answers (where only the payload survives) print identically. *)
@@ -160,122 +130,65 @@ let build_or_exit name k =
     Printf.eprintf "error: %s\n" msg;
     exit (if List.mem name Constructions.Registry.names then 2 else 1)
 
-(* The correlated concepts ignore the solver tier: there is a single LP
-   path, keyed on the concept-qualified fingerprint like the server's. *)
-let correlated_construction ~name ~k ~json ~fingerprint ~cache ~build_span
-    concept game =
-  let module Corr = Correlated.Correlated in
-  let key =
-    Cache.Fingerprint.with_concept fingerprint
-      ~concept:(Correlated.Concept.cache_tag concept)
-  in
-  let solve () =
-    let report = Corr.analyze ~concept game in
-    (match Corr.check game report with
-    | Ok () -> ()
-    | Error e ->
-      Printf.eprintf "error: correlated certificate rejected: %s\n" e;
-      exit 3);
-    Corr.to_json report
-  in
-  let (payload, cached), solve_span =
-    Engine.Timer.timed (fun () ->
-        match cache with
-        | None -> (solve (), false)
-        | Some c -> Cache.Service.payload c key solve)
-  in
-  if json then
-    print_endline
-      (Sink.to_string
-         (correlated_construction_json ~name ~k ~fingerprint:key ~cached
-            ~concept payload))
-  else begin
-    Printf.printf "construction %s, parameter %d (%s concept)\n\n" name k
-      (Correlated.Concept.to_string concept);
-    print_correlated payload;
-    Format.printf "@.[build: %a; solve: %a%s]@." Engine.Timer.pp_seconds
-      build_span.Engine.Timer.seconds Engine.Timer.pp_seconds
-      solve_span.Engine.Timer.seconds
-      (if cached then " (cached)" else "")
-  end
-
+(* One path for every tier: resolve, key, solve (certificates
+   re-verified; a rejected one exits 3), print.  Only the text printers
+   differ by tier. *)
 let construction name k jobs json cache_path mode concept =
+  let module Tier = Serve.Tier in
   Engine.Pool.with_pool (Engine.Pool.recommended_jobs jobs) (fun pool ->
       let game, build_span =
         Engine.Timer.timed (fun () -> build_or_exit name k)
       in
-      let fingerprint = Cache.Fingerprint.of_game game in
-      let mode =
-        Certify.Mode.resolve ~valid_profiles:(Bncs.valid_profile_count game)
-          mode
-      in
+      let tier = Tier.resolve ~mode ~concept (Lazy.from_val game) in
+      let key = Tier.key tier (Cache.Fingerprint.of_game game) in
       let cache =
         Option.map (fun path -> Cache.Service.create ~store_path:path ()) cache_path
       in
-      (match concept with
-      | Correlated.Concept.Cce | Correlated.Concept.Comm ->
-        correlated_construction ~name ~k ~json ~fingerprint ~cache ~build_span
-          concept game
-      | Correlated.Concept.Nash ->
-      match mode with
-      | Certify.Mode.Auto -> assert false (* resolve never returns Auto *)
-      | Certify.Mode.Exhaustive ->
-        let (analysis, cached), solve_span =
-          Engine.Timer.timed (fun () ->
-              match cache with
-              | None -> (Bncs.analyze ~pool game, false)
-              | Some c ->
-                Cache.Service.analysis c fingerprint (fun () ->
-                    Bncs.analyze ~pool game))
+      let solve () =
+        match Tier.solve ~pool ~check:true tier game with
+        | Ok v -> v
+        | Error e ->
+          Printf.eprintf "error: %s\n" e;
+          exit 3
+      in
+      let (value, cached), solve_span =
+        Engine.Timer.timed (fun () ->
+            match cache with
+            | None -> (solve (), false)
+            | Some c -> Cache.Service.memo c key solve)
+      in
+      if json then
+        let extras =
+          match value with
+          | Cache.Service.Analysis a -> report_json a.Bncs.report
+          | Cache.Service.Payload _ -> []
         in
-        if json then
-          print_endline
-            (Sink.to_string
-               (construction_json ~name ~k ~fingerprint ~cached analysis))
-        else begin
-          Printf.printf "construction %s, parameter %d\n\n" name k;
-          print_report analysis.Bncs.report;
-          Format.printf "@.[build: %a; solve: %a%s]@." Engine.Timer.pp_seconds
-            build_span.Engine.Timer.seconds Engine.Timer.pp_seconds
-            solve_span.Engine.Timer.seconds
-            (if cached then " (cached)" else "")
-        end
-      | Certify.Mode.Certified ->
-        (* Tier-qualified key: certified answers never collide with
-           exhaustive cache entries for the same game. *)
-        let key =
-          Cache.Fingerprint.with_mode fingerprint
-            ~mode:(Certify.Mode.cache_tag Certify.Mode.Certified)
-        in
-        let solve () =
-          let cert = Certify.Solve.certify ~pool game in
-          (match Certify.Solve.check game cert with
-          | Ok () -> ()
-          | Error e ->
-            Printf.eprintf "error: certificate rejected: %s\n" e;
-            exit 3);
-          Certify.Solve.to_json cert
-        in
-        let (payload, cached), solve_span =
-          Engine.Timer.timed (fun () ->
-              match cache with
-              | None -> (solve (), false)
-              | Some c -> Cache.Service.payload c key solve)
-        in
-        if json then
-          print_endline
-            (Sink.to_string
-               (certified_construction_json ~name ~k ~fingerprint:key ~cached
-                  payload))
-        else begin
-          Printf.printf "construction %s, parameter %d (certified tier)\n\n"
-            name k;
-          print_certified payload;
-          Format.printf "@.[build: %a; solve: %a%s]@." Engine.Timer.pp_seconds
-            build_span.Engine.Timer.seconds Engine.Timer.pp_seconds
-            solve_span.Engine.Timer.seconds
-            (if cached then " (cached)" else "")
-        end);
+        print_endline
+          (Sink.to_string
+             (Sink.Obj
+                ([
+                   ("record", Sink.Str "construction");
+                   ("construction", Sink.Str name);
+                   ("k", Sink.Int k);
+                 ]
+                @ Tier.fields tier ~fingerprint:key ~cached (Tier.body value)
+                @ extras)))
+      else begin
+        Printf.printf "construction %s, parameter %d%s\n\n" name k
+          (match tier with
+          | Tier.Exhaustive -> ""
+          | Tier.Certified -> " (certified tier)"
+          | Tier.Cce | Tier.Comm ->
+            Printf.sprintf " (%s concept)" (Tier.to_string tier));
+        (match (tier, value) with
+        | _, Cache.Service.Analysis a -> print_report a.Bncs.report
+        | Tier.Certified, Cache.Service.Payload p -> print_certified p
+        | _, Cache.Service.Payload p -> print_correlated p);
+        Format.printf "@.[build: %a; solve: %a%s]@." Engine.Timer.pp_seconds
+          build_span.Engine.Timer.seconds Engine.Timer.pp_seconds
+          solve_span.Engine.Timer.seconds
+          (if cached then " (cached)" else "")
+      end;
       Option.iter Cache.Service.close cache);
   0
 
@@ -422,24 +335,6 @@ let retry_of ~retries ~retry_base_ms =
       }
 
 let query socket tcp verb name k deadline retries retry_base_ms mode concept =
-  let deadline_field =
-    match deadline with
-    | None -> []
-    | Some ms -> [ ("deadline_ms", Sink.Int ms) ]
-  in
-  (* Match the protocol builders: the default tier is never written, so
-     default-tier requests stay byte-identical to pre-mode ones. *)
-  let mode_field =
-    match mode with
-    | Certify.Mode.Exhaustive -> []
-    | m -> [ ("mode", Sink.Str (Certify.Mode.to_string m)) ]
-  in
-  (* Same convention for the solution concept: nash is never written. *)
-  let concept_field =
-    match concept with
-    | Correlated.Concept.Nash -> []
-    | c -> [ ("concept", Sink.Str (Correlated.Concept.to_string c)) ]
-  in
   let request =
     match verb with
     | "construction" -> (
@@ -450,12 +345,15 @@ let query socket tcp verb name k deadline retries retry_base_ms mode concept =
              ~concept ~name ~k ())
       | None -> Error "query construction: NAME argument required")
     | "analyze" -> (
-      match Sink.of_string (In_channel.input_all stdin) with
-      | Ok game ->
+      match
+        Result.bind
+          (Sink.of_string (In_channel.input_all stdin))
+          Cache.Codec.game_of_json
+      with
+      | Ok (graph, prior) ->
         Ok
-          (Sink.Obj
-             ([ ("op", Sink.Str "analyze"); ("game", game) ]
-             @ mode_field @ concept_field @ deadline_field))
+          (Serve.Protocol.analyze_request ?deadline_ms:deadline ~mode ~concept
+             graph ~prior)
       | Error e -> Error (Printf.sprintf "game description on stdin: %s" e))
     | "stats" -> Ok Serve.Protocol.stats_request
     | "health" -> Ok Serve.Protocol.health_request
@@ -981,7 +879,9 @@ let cluster_soak ~shards ~clients ~seconds ~retries ~seed ~router_metrics_out
   in
   (* Fresh keys the victim owns: written through the router while the
      victim is dead, they land on the other owner and park a hint —
-     real divergence for fsck to catch and the healing paths to close. *)
+     real divergence for fsck to catch and the healing paths to close.
+     Only games small enough for [auto] to exhaust qualify: affine/3
+     and diamond/2 would take hours. *)
   let fresh_keys =
     let candidates =
       List.concat_map
@@ -989,15 +889,17 @@ let cluster_soak ~shards ~clients ~seconds ~retries ~seed ~router_metrics_out
           List.filter_map
             (fun k ->
               match Constructions.Registry.build name k with
-              | Error _ -> None
-              | Ok game ->
+              | Ok game
+                when Bncs.valid_profile_count game
+                     <= Certify.Mode.auto_threshold ->
                 let fp = Cache.Fingerprint.of_game game in
                 if fp = warm_fp then None
                 else
                   let owners = Router.Ring.owners ring ~n:2 fp in
                   if List.mem victim_member owners then
                     Some (name, k, fp, List.hd owners = victim_member)
-                  else None)
+                  else None
+              | Ok _ | Error _ -> None)
             [ 2; 3 ])
         Constructions.Registry.names
     in

@@ -126,41 +126,22 @@ let insert t k v =
       resident_add t.lru t.checks k v (Store.check_of (body_of v));
       persist t k v)
 
-let find_analysis t k =
-  match find t k with Some (Analysis a) -> Some a | Some (Payload _) | None -> None
-
-let insert_analysis t k a = insert t k (Analysis a)
-
 (* The thunk runs inside the lock: correctness first (a concurrent
    caller can never observe a missing entry being computed twice).  The
    server layer keeps its own in-flight table precisely so that long
    computations do not serialize behind this mutex. *)
-let memo t k wrap unwrap compute =
+let memo t k compute =
   locked t (fun () ->
-      match Option.bind (Lru.find t.lru k) unwrap with
+      match Lru.find t.lru k with
       | Some v ->
         t.hits <- t.hits + 1;
         (v, true)
       | None ->
         t.misses <- t.misses + 1;
         let v = compute () in
-        let wrapped = wrap v in
-        resident_add t.lru t.checks k wrapped
-          (Store.check_of (body_of wrapped));
-        persist t k wrapped;
+        resident_add t.lru t.checks k v (Store.check_of (body_of v));
+        persist t k v;
         (v, false))
-
-let analysis t k compute =
-  memo t k
-    (fun a -> Analysis a)
-    (function Analysis a -> Some a | Payload _ -> None)
-    compute
-
-let payload t k compute =
-  memo t k
-    (fun j -> Payload j)
-    (function Payload j -> Some j | Analysis _ -> None)
-    compute
 
 (* --- digest view ------------------------------------------------------ *)
 

@@ -40,21 +40,14 @@ val find : t -> string -> value option
 val insert : t -> string -> value -> unit
 (** Inserts and appends to the store when one is attached. *)
 
-val find_analysis : t -> string -> Bi_ncs.Bayesian_ncs.analysis option
-val insert_analysis : t -> string -> Bi_ncs.Bayesian_ncs.analysis -> unit
-
-val analysis :
-  t -> string -> (unit -> Bi_ncs.Bayesian_ncs.analysis) ->
-  Bi_ncs.Bayesian_ncs.analysis * bool
-(** [analysis t key compute] returns the cached analysis under [key]
+val memo : t -> string -> (unit -> value) -> value * bool
+(** [memo t key compute] returns the value cached under [key]
     ([..., true]) or runs [compute] and caches its result
-    ([..., false]).  The thunk runs under the cache lock, so concurrent
+    ([..., false]).  The key decides the value's shape, so callers key
+    each shape apart ({!Fingerprint.with_mode}, [with_concept], or
+    {!key}).  The thunk runs under the cache lock, so concurrent
     callers never duplicate a computation; use the server's in-flight
     table when long computations must not serialize other lookups. *)
-
-val payload :
-  t -> string -> (unit -> Bi_engine.Sink.json) -> Bi_engine.Sink.json * bool
-(** As {!analysis} for opaque JSON payloads. *)
 
 val digest_rollup : t -> (int * string) list
 (** Per-bucket digests of the resident entries: for every non-empty

@@ -1,6 +1,7 @@
 module Sink = Bi_engine.Sink
 module Client = Bi_serve.Client
 module Protocol = Bi_serve.Protocol
+module Tier = Bi_serve.Tier
 module Lineserver = Bi_serve.Lineserver
 module Lru = Bi_cache.Lru
 module Fingerprint = Bi_cache.Fingerprint
@@ -296,30 +297,24 @@ let candidates t fingerprint =
   let live, dead = List.partition (fun m -> not (down m)) owners in
   live @ dead
 
-let ok_from_front ~fingerprint analysis =
-  Sink.Obj
-    [
-      ("ok", Sink.Bool true);
-      ("fingerprint", Sink.Str fingerprint);
-      ("cached", Sink.Bool true);
-      ("analysis", analysis);
-    ]
-
 let no_shard_error fingerprint =
   Protocol.error
     (Printf.sprintf "no shard available for fingerprint %s" fingerprint)
 
 (* Forward an analysis request as its original line, never re-encoded,
-   so deadline and every other field ride along verbatim.  Failover
-   policy: transport failures and [overloaded] move to the next owner;
-   [error] and [deadline_exceeded] are deterministic verdicts and are
-   returned as-is — every shard would say the same, and the deadline
+   so deadline and every other field ride along verbatim.  [fingerprint]
+   is the resolved tier's key, the one the owners cache the answer
+   under.  Only exhaustive answers are front-cached and replicated.
+   Failover policy: transport failures and [overloaded] move to the next
+   owner; [error] and [deadline_exceeded] are deterministic verdicts and
+   are returned as-is — every shard would say the same, and the deadline
    belongs to the client, not to the routing. *)
-let route_analysis t ~tick ~line ~fingerprint =
-  match front_find t fingerprint with
+let route_analysis t ~tick ~line ~tier ~fingerprint =
+  let exhaustive = tier = Tier.Exhaustive in
+  match if exhaustive then front_find t fingerprint else None with
   | Some analysis ->
     Metrics.front_hit t.metrics;
-    ok_from_front ~fingerprint analysis
+    Tier.ok tier ~fingerprint ~cached:true analysis
   | None ->
     let key_owners = owners t fingerprint in
     let rec attempt last failed = function
@@ -338,7 +333,9 @@ let route_analysis t ~tick ~line ~fingerprint =
         | Ok resp -> (
           match Protocol.response_code resp with
           | Some "ok" ->
-            (match Sink.member "analysis" resp with
+            (match
+               if exhaustive then Sink.member "analysis" resp else None
+             with
             | Some analysis ->
               front_store t fingerprint analysis;
               let fresh =
@@ -368,6 +365,17 @@ let route_analysis t ~tick ~line ~fingerprint =
           | _ -> resp))
     in
     attempt None [] (candidates t fingerprint)
+
+(* The router resolves the tier exactly as the owner shard will, so it
+   routes on the key the shard caches under.  Only a nash [auto] request
+   builds the game for that. *)
+let route_game t ~tick ~line ~fingerprint ~mode ~concept game =
+  match Tier.resolve ~mode ~concept game with
+  | exception Invalid_argument msg ->
+    Metrics.error t.metrics;
+    Protocol.error msg
+  | tier ->
+    route_analysis t ~tick ~line ~tier ~fingerprint:(Tier.key tier fingerprint)
 
 (* A [put] arriving at the router is a client-driven write: fan it out
    to every routable owner and demand the quorum ourselves.  An owner
@@ -441,49 +449,22 @@ let handle t ~tick line =
         Metrics.error t.metrics;
         (Protocol.error e, `Continue)
       | Ok { Protocol.query; _ } -> (
-        (* Routing keys are tier- and concept-qualified, so exhaustive,
-           certified and correlated answers for the same game live on
-           (possibly) different owners and never alias; certified and
-           correlated responses carry no ["analysis"] member, so the
-           front cache (which stores only that member) naturally
-           ignores them. *)
-        let mode_key fingerprint mode =
-          match mode with
-          | Bi_certify.Mode.Auto ->
-            (* The router never builds games, so it cannot resolve
-               [auto]; route on the certified key (deterministic for
-               any replica count) and let the owning shard resolve. *)
-            Fingerprint.with_mode fingerprint
-              ~mode:(Bi_certify.Mode.cache_tag Bi_certify.Mode.Certified)
-          | m -> Fingerprint.with_mode fingerprint ~mode:(Bi_certify.Mode.cache_tag m)
-        in
-        (* The correlated concepts ignore the solver tier (there is one
-           LP path, no exhaustive/certified split), so their routing key
-           qualifies the bare fingerprint — matching the shards' own
-           cache keys byte for byte. *)
-        let routing_key fingerprint ~mode ~concept =
-          match concept with
-          | Bi_correlated.Concept.Nash -> mode_key fingerprint mode
-          | c ->
-            Fingerprint.with_concept fingerprint
-              ~concept:(Bi_correlated.Concept.cache_tag c)
-        in
         match query with
         | Protocol.Analyze { graph; prior; mode; concept } ->
-          let fingerprint =
-            routing_key (Fingerprint.game graph ~prior) ~mode ~concept
-          in
-          (route_analysis t ~tick ~line ~fingerprint, `Continue)
+          ( route_game t ~tick ~line
+              ~fingerprint:(Fingerprint.game graph ~prior)
+              ~mode ~concept
+              (lazy (Bi_ncs.Bayesian_ncs.make graph ~prior)),
+            `Continue )
         | Protocol.Construction { name; k; mode; concept } -> (
           match Registry.build name k with
           | Error e ->
             Metrics.error t.metrics;
             (Protocol.error e, `Continue)
           | Ok game ->
-            let fingerprint =
-              routing_key (Fingerprint.of_game game) ~mode ~concept
-            in
-            (route_analysis t ~tick ~line ~fingerprint, `Continue))
+            ( route_game t ~tick ~line ~fingerprint:(Fingerprint.of_game game)
+                ~mode ~concept (Lazy.from_val game),
+              `Continue ))
         | Protocol.Put { fingerprint; value } ->
           let kind, body =
             match value with

@@ -227,33 +227,18 @@ let health_request = Sink.Obj [ ("op", Str "health") ]
 let shutdown_request = Sink.Obj [ ("op", Str "shutdown") ]
 
 let ok_analysis ~fingerprint ~cached analysis =
-  Sink.Obj
-    [
-      ("ok", Bool true);
-      ("fingerprint", Str fingerprint);
-      ("cached", Bool cached);
-      ("analysis", Codec.analysis_to_json analysis);
-    ]
+  Tier.ok Tier.Exhaustive ~fingerprint ~cached (Codec.analysis_to_json analysis)
 
 let ok_certified ~fingerprint ~cached certified =
-  Sink.Obj
-    [
-      ("ok", Bool true);
-      ("fingerprint", Str fingerprint);
-      ("cached", Bool cached);
-      ("mode", Str (Mode.to_string Mode.Certified));
-      ("certified", certified);
-    ]
+  Tier.ok Tier.Certified ~fingerprint ~cached certified
 
+(* A fixed mode resolves without forcing the game. *)
 let ok_correlated ~fingerprint ~cached ~concept correlated =
-  Sink.Obj
-    [
-      ("ok", Bool true);
-      ("fingerprint", Str fingerprint);
-      ("cached", Bool cached);
-      ("concept", Str (Concept.to_string concept));
-      ("correlated", correlated);
-    ]
+  let tier =
+    Tier.resolve ~mode:Mode.Exhaustive ~concept
+      (lazy (invalid_arg "Protocol.ok_correlated"))
+  in
+  Tier.ok tier ~fingerprint ~cached correlated
 
 let ok_stats ~cache ~server =
   Sink.Obj [ ("ok", Bool true); ("cache", cache); ("server", server) ]

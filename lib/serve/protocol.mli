@@ -120,7 +120,8 @@ val stats_request : Bi_engine.Sink.json
 val health_request : Bi_engine.Sink.json
 val shutdown_request : Bi_engine.Sink.json
 
-(** Response builders (server side). *)
+(** Response builders (server side).  The three answer builders are
+    {!Tier.ok} for a fixed tier. *)
 
 val ok_analysis :
   fingerprint:string ->
@@ -130,11 +131,9 @@ val ok_analysis :
 
 val ok_certified :
   fingerprint:string -> cached:bool -> Bi_engine.Sink.json -> Bi_engine.Sink.json
-(** Certified-tier success: carries the tier-qualified fingerprint, a
-    ["mode"] marker and the bracket payload under ["certified"] (the
-    JSON argument, as produced by {!Bi_certify.Solve.to_json}) — and
-    deliberately no ["analysis"] member, so caches keyed on exhaustive
-    answers can never pick it up. *)
+(** Certified-tier success: the payload (as produced by
+    {!Bi_certify.Solve.to_json}) under ["certified"], and no
+    ["analysis"] member. *)
 
 val ok_correlated :
   fingerprint:string ->
@@ -142,11 +141,9 @@ val ok_correlated :
   concept:Bi_correlated.Concept.t ->
   Bi_engine.Sink.json ->
   Bi_engine.Sink.json
-(** Correlated-concept success: the concept-qualified fingerprint, a
-    ["concept"] marker and the LP payload under ["correlated"] (as
-    produced by {!Bi_correlated.Correlated.to_json}) — and, like
-    {!ok_certified}, deliberately no ["analysis"] member, so caches
-    keyed on nash answers can never pick it up. *)
+(** Correlated-concept success for [Cce] or [Comm]: the LP payload (as
+    produced by {!Bi_correlated.Correlated.to_json}) under
+    ["correlated"], and no ["analysis"] member. *)
 
 val ok_stats :
   cache:Bi_engine.Sink.json -> server:Bi_engine.Sink.json -> Bi_engine.Sink.json

@@ -369,6 +369,12 @@ let test_store_compact () =
   Sys.remove path;
   Sys.remove (Store.rej_path path)
 
+(* [Service.memo] for an analysis key. *)
+let analysis_memo s key compute =
+  match Service.memo s key (fun () -> Service.Analysis (compute ())) with
+  | Service.Analysis a, hit -> (a, hit)
+  | Service.Payload _, _ -> Alcotest.fail "payload under an analysis key"
+
 let test_service_crash_then_compact () =
   let path = Filename.temp_file "bi_crash" ".jsonl" in
   Sys.remove path;
@@ -379,7 +385,7 @@ let test_service_crash_then_compact () =
   in
   let fp = Fingerprint.of_game game in
   let s1 = Service.create ~store_path:path () in
-  let a1, _ = Service.analysis s1 fp (fun () -> Bncs.analyze game) in
+  let a1 = analysis_memo s1 fp (fun () -> Bncs.analyze game) |> fst in
   Service.close s1;
   (* kill -9 mid-append: the log ends in a half-written line. *)
   let oc = open_out_gen [ Open_append ] 0o644 path in
@@ -392,7 +398,7 @@ let test_service_crash_then_compact () =
   let st = Service.stats s2 in
   Alcotest.(check int) "valid entry replayed" 1 st.Service.loaded;
   Alcotest.(check int) "torn tail quarantined" 1 st.Service.quarantined;
-  let a2, hit = Service.analysis s2 fp (fun () -> Alcotest.fail "recomputed") in
+  let a2, hit = analysis_memo s2 fp (fun () -> Alcotest.fail "recomputed") in
   Alcotest.(check bool) "warm hit after recovery" true hit;
   Alcotest.(check string) "byte-identical answer"
     (Sink.to_string (Codec.analysis_to_json a1))
@@ -430,10 +436,10 @@ let test_service_miss_then_hit () =
   let calls = ref 0 in
   let compute () =
     incr calls;
-    Sink.Int 42
+    Service.Payload (Sink.Int 42)
   in
-  let v1, hit1 = Service.payload s "fp1/q" compute in
-  let v2, hit2 = Service.payload s "fp1/q" compute in
+  let v1, hit1 = Service.memo s "fp1/q" compute in
+  let v2, hit2 = Service.memo s "fp1/q" compute in
   Alcotest.(check bool) "first is a miss" false hit1;
   Alcotest.(check bool) "second is a hit" true hit2;
   Alcotest.(check bool) "same value" true (v1 = v2);
@@ -453,14 +459,14 @@ let test_service_restart_from_store () =
   in
   let fp = Fingerprint.of_game game in
   let s1 = Service.create ~store_path:path () in
-  let a1, hit1 = Service.analysis s1 fp (fun () -> Bncs.analyze game) in
+  let a1, hit1 = analysis_memo s1 fp (fun () -> Bncs.analyze game) in
   Alcotest.(check bool) "cold miss" false hit1;
   Service.close s1;
   (* A fresh service over the same store must answer from the replayed
      entry: the thunk proves it is never called. *)
   let s2 = Service.create ~store_path:path () in
   Alcotest.(check int) "entry replayed" 1 (Service.stats s2).Service.loaded;
-  let a2, hit2 = Service.analysis s2 fp (fun () -> Alcotest.fail "recomputed") in
+  let a2, hit2 = analysis_memo s2 fp (fun () -> Alcotest.fail "recomputed") in
   Alcotest.(check bool) "warm hit" true hit2;
   Alcotest.(check bool) "identical report" true (a1.Bncs.report = a2.Bncs.report);
   Alcotest.(check bool) "identical witnesses" true
@@ -470,9 +476,9 @@ let test_service_restart_from_store () =
 
 let test_service_lru_bounds_memory () =
   let s = Service.create ~capacity:2 () in
-  ignore (Service.payload s "a" (fun () -> Sink.Int 1));
-  ignore (Service.payload s "b" (fun () -> Sink.Int 2));
-  ignore (Service.payload s "c" (fun () -> Sink.Int 3));
+  ignore (Service.memo s "a" (fun () -> Service.Payload (Sink.Int 1)));
+  ignore (Service.memo s "b" (fun () -> Service.Payload (Sink.Int 2)));
+  ignore (Service.memo s "c" (fun () -> Service.Payload (Sink.Int 3)));
   let st = Service.stats s in
   Alcotest.(check int) "capacity respected" 2 st.Service.length;
   Alcotest.(check int) "eviction counted" 1 st.Service.evictions;

@@ -1112,6 +1112,113 @@ let test_stall_on_kept_connection () =
           Alcotest.(check int) "the stalled member saw the request once" 1
             (Atomic.get held)))
 
+(* --- router/shard agreement --------------------------------------- *)
+
+(* Every request choice on a small construction, with the key suffix
+   its owner shard caches it under: gworst-bliss/3 is small, so [auto]
+   resolves to the exhaustive tier and shares its bare key. *)
+let agreement_choices =
+  let module Mode = Bi_certify.Mode in
+  let module Concept = Bi_correlated.Concept in
+  [
+    ("exhaustive", Mode.Exhaustive, Concept.Nash, "");
+    ("certified", Mode.Certified, Concept.Nash, "+certified");
+    ("auto", Mode.Auto, Concept.Nash, "");
+    ("cce", Mode.Exhaustive, Concept.Cce, "+cce");
+    ("comm", Mode.Exhaustive, Concept.Comm, "+comm");
+  ]
+
+let with_cached b = function
+  | Sink.Obj fields ->
+    Sink.Obj
+      (List.map
+         (fun (k, v) -> if k = "cached" then (k, Sink.Bool b) else (k, v))
+         fields)
+  | j -> j
+
+(* The choices named in [order] go through a router over two shards
+   (replicas 2, quorum 2), then all five again.  Each routed answer —
+   the cold one up to its ["cached"] flag, the repeat (a front-cache
+   hit for exhaustive answers) byte for byte — must equal what the key's
+   primary owner answers when asked directly.  Afterwards every shard
+   holds under each tier's key only that tier's shape. *)
+let test_router_shard_agreement order () =
+  let dir = Filename.temp_file "bi_agree" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let sock_a, cache_a, th_a = start_shard ~dir ~name:"shard-a" in
+  let sock_b, cache_b, th_b = start_shard ~dir ~name:"shard-b" in
+  let members = [ sock_a; sock_b ] in
+  let config =
+    {
+      Router.default_config with
+      probe_interval_s = 0.05;
+      repair_interval_ticks = 0;
+      shard_timeout_s = 10.;
+    }
+  in
+  let name = "gworst-bliss" and k = 3 in
+  let fp =
+    match Registry.build name k with
+    | Ok game -> Fingerprint.of_game game
+    | Error e -> Alcotest.fail e
+  in
+  let ring = Ring.create members in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_endpoint sock_a;
+      stop_endpoint sock_b;
+      Thread.join th_a;
+      Thread.join th_b;
+      Service.close cache_a;
+      Service.close cache_b)
+    (fun () ->
+      with_router ~dir ~config ~members (fun c ->
+          let ask label =
+            let _, mode, concept, suffix =
+              List.find (fun (l, _, _, _) -> l = label) agreement_choices
+            in
+            let req =
+              Protocol.construction_request ~mode ~concept ~name ~k ()
+            in
+            let cold = request_ok c req in
+            let warm = request_ok c req in
+            let owner = Option.get (Ring.owner ring (fp ^ suffix)) in
+            let d = Client.connect_unix owner in
+            let direct =
+              Fun.protect
+                ~finally:(fun () -> Client.close d)
+                (fun () -> Sink.to_string (request_ok d req))
+            in
+            Alcotest.(check string)
+              (label ^ ": routed answer is the owner's") direct
+              (Sink.to_string (with_cached true cold));
+            Alcotest.(check string)
+              (label ^ ": repeated routed answer is the owner's") direct
+              (Sink.to_string warm)
+          in
+          List.iter ask order;
+          List.iter (fun (label, _, _, _) -> ask label) agreement_choices;
+          List.iter
+            (fun (cache, shard) ->
+              List.iter
+                (fun (suffix, kind) ->
+                  let entries, _ = Service.pull cache [ fp ^ suffix ] in
+                  List.iter
+                    (fun (e : Store.entry) ->
+                      Alcotest.(check string)
+                        (Printf.sprintf "%s holds a %s under %S" shard kind
+                           suffix)
+                        kind e.Store.kind)
+                    entries)
+                [
+                  ("", "analysis");
+                  ("+certified", "payload");
+                  ("+cce", "payload");
+                  ("+comm", "payload");
+                ])
+            [ (cache_a, "shard-a"); (cache_b, "shard-b") ]))
+
 let () =
   Alcotest.run "bi_router"
     [
@@ -1162,5 +1269,11 @@ let () =
             test_restart_behind_kept_connection;
           Alcotest.test_case "stall on a kept connection fails over once"
             `Quick test_stall_on_kept_connection;
+          Alcotest.test_case "routed answers equal the owner's, auto first"
+            `Quick
+            (test_router_shard_agreement [ "auto"; "certified" ]);
+          Alcotest.test_case
+            "routed answers equal the owner's, certified first" `Quick
+            (test_router_shard_agreement [ "certified"; "auto" ]);
         ] );
     ]

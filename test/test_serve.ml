@@ -17,6 +17,7 @@ module Server = Bi_serve.Server
 module Client = Bi_serve.Client
 module Chaos = Bi_serve.Chaos
 module Lineserver = Bi_serve.Lineserver
+module Tier = Bi_serve.Tier
 module Store = Bi_cache.Store
 
 (* --- protocol --------------------------------------------------------- *)
@@ -126,8 +127,9 @@ let test_response_codes () =
 
 (* The solver-tier field: builders round-trip every tier, an absent
    field is the exhaustive tier (so pre-mode clients and servers agree),
-   a default-tier request is byte-identical to a pre-mode request, and
-   tier-qualified cache keys leave exhaustive fingerprints untouched. *)
+   a default-tier request is byte-identical to a pre-mode request,
+   tier-qualified cache keys leave exhaustive fingerprints untouched,
+   and [Tier] resolves nash requests and keys them the same way. *)
 let test_mode_round_trip () =
   let module Mode = Bi_certify.Mode in
   let tiers = [ Mode.Exhaustive; Mode.Certified; Mode.Auto ] in
@@ -190,13 +192,45 @@ let test_mode_round_trip () =
   Alcotest.(check string) "exhaustive tag keeps the bare fingerprint" "abc"
     (Bi_cache.Fingerprint.with_mode "abc" ~mode:"exhaustive");
   Alcotest.(check string) "certified tier is suffixed" "abc+certified"
-    (Bi_cache.Fingerprint.with_mode "abc" ~mode:"certified")
+    (Bi_cache.Fingerprint.with_mode "abc" ~mode:"certified");
+  (* Tier keys are the keys earlier releases issued, so stores replay. *)
+  Alcotest.(check string) "exhaustive tier key"
+    (Bi_cache.Fingerprint.with_mode "abc"
+       ~mode:(Mode.cache_tag Mode.Exhaustive))
+    (Tier.key Tier.Exhaustive "abc");
+  Alcotest.(check string) "certified tier key"
+    (Bi_cache.Fingerprint.with_mode "abc" ~mode:(Mode.cache_tag Mode.Certified))
+    (Tier.key Tier.Certified "abc");
+  (* A fixed mode never builds the game; [auto] resolves on the game's
+     valid-profile count, on either side of the threshold. *)
+  let unbuilt = lazy (Alcotest.fail "a fixed mode forced the game") in
+  let nash mode game =
+    Tier.to_string (Tier.resolve ~mode ~concept:Bi_correlated.Concept.Nash game)
+  in
+  Alcotest.(check string) "exhaustive resolves to itself" "exhaustive"
+    (nash Mode.Exhaustive unbuilt);
+  Alcotest.(check string) "certified resolves to itself" "certified"
+    (nash Mode.Certified unbuilt);
+  let game k =
+    match Bi_constructions.Registry.build "gworst-bliss" k with
+    | Ok g -> g
+    | Error e -> Alcotest.fail e
+  in
+  let small = game 3 and large = game 20 in
+  Alcotest.(check bool) "games straddle the auto threshold" true
+    (Bi_ncs.Bayesian_ncs.valid_profile_count small <= Mode.auto_threshold
+    && Bi_ncs.Bayesian_ncs.valid_profile_count large > Mode.auto_threshold);
+  Alcotest.(check string) "auto exhausts a small game" "exhaustive"
+    (nash Mode.Auto (Lazy.from_val small));
+  Alcotest.(check string) "auto certifies a large game" "certified"
+    (nash Mode.Auto (Lazy.from_val large))
 
 (* The solution-concept field mirrors the tier field: builders
    round-trip every concept, an absent field is nash (pre-correlated
    clients and servers agree), a default-concept request is
-   byte-identical to a pre-correlated request, and concept-qualified
-   cache keys leave nash fingerprints untouched. *)
+   byte-identical to a pre-correlated request, concept-qualified cache
+   keys leave nash fingerprints untouched, and [Tier] lets the concept
+   override every mode under the same keys. *)
 let test_concept_round_trip () =
   let module Concept = Bi_correlated.Concept in
   let concepts = [ Concept.Nash; Concept.Cce; Concept.Comm ] in
@@ -262,7 +296,27 @@ let test_concept_round_trip () =
   Alcotest.(check string) "cce concept is suffixed" "abc+cce"
     (Bi_cache.Fingerprint.with_concept "abc" ~concept:"cce");
   Alcotest.(check string) "comm concept is suffixed" "abc+comm"
-    (Bi_cache.Fingerprint.with_concept "abc" ~concept:"comm")
+    (Bi_cache.Fingerprint.with_concept "abc" ~concept:"comm");
+  List.iter
+    (fun (tier, concept) ->
+      Alcotest.(check string)
+        (Tier.to_string tier ^ " tier key")
+        (Bi_cache.Fingerprint.with_concept "abc"
+           ~concept:(Concept.cache_tag concept))
+        (Tier.key tier "abc");
+      (* The concept overrides every mode, [auto] included, without
+         building the game. *)
+      List.iter
+        (fun mode ->
+          Alcotest.(check string)
+            (Concept.to_string concept ^ " overrides "
+            ^ Bi_certify.Mode.to_string mode)
+            (Tier.to_string tier)
+            (Tier.to_string
+               (Tier.resolve ~mode ~concept
+                  (lazy (Alcotest.fail "a concept forced the game")))))
+        Bi_certify.Mode.[ Exhaustive; Certified; Auto ])
+    [ (Tier.Cce, Concept.Cce); (Tier.Comm, Concept.Comm) ]
 
 (* parse_request must be total: any byte salad gets Ok or Error, never
    an exception (a [Stack_overflow] here would kill a server thread). *)
